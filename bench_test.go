@@ -5,13 +5,12 @@
 // report the headline quantity next to the paper's value (see
 // EXPERIMENTS.md for the comparison table).
 //
-// Artefact benchmarks measure the steady-state cost of regenerating an
-// artefact: a warm-up run outside the timer primes the process-wide
-// machine-snapshot and run-memo caches (internal/snapshot), then the
-// timed iterations pay only the fork-and-replay path — the cost every
-// regeneration after the first pays in tpbench and tpserved. The
-// one-off capture boot is excluded by b.ResetTimer, exactly as a
-// hand-rolled cache warm-up would be.
+// Artefact benchmarks measure the warm tier: a warm-up run outside the
+// timer captures the machine snapshots (internal/snapshot), then every
+// timed iteration forks those snapshots and runs the whole experiment
+// again — no result is cached between iterations. This is the cost
+// every regeneration after the first pays in one tpbench or tpserved
+// process. The one-off capture boots are excluded by b.ResetTimer.
 //
 // Run: go test -bench=. -benchmem
 package main
@@ -34,9 +33,9 @@ func benchCfg(plat hw.Platform) experiments.Config {
 
 func platforms() []hw.Platform { return []hw.Platform{hw.Haswell(), hw.Sabre()} }
 
-// warm primes the snapshot/memo caches with one untimed run and resets
-// the timer, so the measured iterations reflect steady-state
-// regeneration cost.
+// warm captures the machine snapshots with one untimed run and resets
+// the timer, so the measured iterations pay the snapshot fork and the
+// full experiment run, but not the capture boots.
 func warm[T any](b *testing.B, run func() (T, error)) {
 	b.Helper()
 	if _, err := run(); err != nil {

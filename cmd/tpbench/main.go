@@ -62,7 +62,7 @@ func main() {
 		storeDir   = flag.String("store", "", "durable result store directory; completed artefacts are persisted as they finish")
 		resume     = flag.Bool("resume", false, "skip artefacts already completed in -store (a killed run resumes with byte-identical output)")
 		snapshots  = flag.Bool("snapshots", true, "boot each machine configuration once and fork copy-on-write snapshots (output is byte-identical either way)")
-		snapStats  = flag.Bool("snapshot-stats", false, "report snapshot capture/fork/memo counters to stderr after the run")
+		snapStats  = flag.Bool("snapshot-stats", false, "report snapshot capture/fork counters to stderr after the run")
 		batching   = flag.Bool("batching", true, "walk probe loops through the batch fast path (output is byte-identical either way; false forces the scalar loops)")
 	)
 	flag.Parse()
@@ -155,8 +155,8 @@ func main() {
 	err := experiments.RunJobs(experiments.PlanJobs(entries, rs, *resume), *parallel, os.Stdout)
 	if *snapStats {
 		s := snapshot.Stats()
-		fmt.Fprintf(os.Stderr, "tpbench: snapshots: %d captures, %d forks, %d disk hits, %d memo hits, %d cold-boot fallbacks\n",
-			s.Captures, s.Forks, s.DiskHits, s.MemoHits, s.Fallbacks)
+		fmt.Fprintf(os.Stderr, "tpbench: snapshots: %d captures, %d forks, %d disk hits, %d cold-boot fallbacks\n",
+			s.Captures, s.Forks, s.DiskHits, s.Fallbacks)
 	}
 	if err != nil {
 		if !errors.Is(err, experiments.ErrCheckFailed) {

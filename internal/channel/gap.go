@@ -1,12 +1,9 @@
 package channel
 
 import (
-	"fmt"
-
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
 	"timeprotection/internal/mi"
-	"timeprotection/internal/snapshot"
 )
 
 // GapObserver is the receiver of §5.3.4/§5.3.5: it watches its progress
@@ -112,22 +109,8 @@ type FlushChannelResult struct {
 // the L1 flush cost on the following domain switch; the receiver
 // observes its online/offline times. Padding (spec.PadMicros) closes it.
 // The scenario is forced to Protected — the channel is a property of the
-// flushing defence itself. Untraced hook-free runs are memoized
-// process-wide (see memo.go).
+// flushing defence itself.
 func RunFlushChannel(s Spec) (*FlushChannelResult, error) {
-	if s.memoizable() {
-		r, err := snapshot.Memo(s.memoKey("flush"), func() (*FlushChannelResult, error) {
-			return runFlushChannel(s)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &FlushChannelResult{Online: r.Online.Clone(), Offline: r.Offline.Clone()}, nil
-	}
-	return runFlushChannel(s)
-}
-
-func runFlushChannel(s Spec) (*FlushChannelResult, error) {
 	s = s.withDefaults()
 	s.Scenario = kernel.ScenarioProtected
 	sys, err := buildSystem(s)
@@ -168,15 +151,12 @@ func runFlushChannel(s Spec) (*FlushChannelResult, error) {
 // spy's slice; the spy's first online period reveals the symbol. With
 // partition=true the line is bound to the trojan's kernel image
 // (Kernel_SetInt) and delivery is deferred to the trojan's own slices.
-// Untraced hook-free runs are memoized process-wide (see memo.go).
 func RunInterruptChannel(s Spec, partition bool) (*mi.Dataset, error) {
-	return memoDataset(s, fmt.Sprintf("interrupt|%t", partition), func() (*mi.Dataset, error) {
-		x, err := PrepareInterruptChannel(s, partition)
-		if err != nil {
-			return nil, err
-		}
-		return x.Run()
-	})
+	x, err := PrepareInterruptChannel(s, partition)
+	if err != nil {
+		return nil, err
+	}
+	return x.Run()
 }
 
 // PrepareInterruptChannel builds the interrupt-timing channel ready to

@@ -127,16 +127,13 @@ const (
 )
 
 // RunIntraCore runs one Table 3 intra-core covert channel and returns
-// the dataset of (sender symbol, receiver measurement) pairs. Untraced
-// hook-free runs are memoized process-wide (see memo.go).
+// the dataset of (sender symbol, receiver measurement) pairs.
 func RunIntraCore(s Spec, res Resource) (*mi.Dataset, error) {
-	return memoDataset(s, fmt.Sprintf("intracore|%d", res), func() (*mi.Dataset, error) {
-		x, err := PrepareIntraCore(s, res)
-		if err != nil {
-			return nil, err
-		}
-		return x.Run()
-	})
+	x, err := PrepareIntraCore(s, res)
+	if err != nil {
+		return nil, err
+	}
+	return x.Run()
 }
 
 // PrepareIntraCore builds a Table 3 intra-core covert channel ready to
@@ -317,15 +314,13 @@ func PrepareIntraCore(s Spec, res Resource) (*Interactive, error) {
 // RunKernelChannel runs the Figure 3 covert channel through a shared
 // (or cloned) kernel image: the sender signals with system calls, the
 // receiver counts LLC misses on the cache sets holding the kernel's
-// syscall handlers. Untraced hook-free runs are memoized process-wide.
+// syscall handlers.
 func RunKernelChannel(s Spec) (*mi.Dataset, error) {
-	return memoDataset(s, "kernel", func() (*mi.Dataset, error) {
-		x, err := PrepareKernelChannel(s)
-		if err != nil {
-			return nil, err
-		}
-		return x.Run()
-	})
+	x, err := PrepareKernelChannel(s)
+	if err != nil {
+		return nil, err
+	}
+	return x.Run()
 }
 
 // PrepareKernelChannel builds the Figure 3 kernel channel ready to be

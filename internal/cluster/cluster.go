@@ -17,6 +17,7 @@ import (
 	"timeprotection/internal/api"
 	"timeprotection/internal/experiments"
 	"timeprotection/internal/fault"
+	"timeprotection/internal/singleflight"
 )
 
 // ForwardHeader marks a peer-forwarded request and carries the
@@ -137,25 +138,24 @@ type Cluster struct {
 	mu   sync.Mutex
 	down map[string]bool // last probe verdict per peer
 
-	flights forwardFlight // singleflight for the forwarding hop
+	flights singleflight.Group[fetched] // singleflight for the forwarding hop
 
 	stop      chan struct{}
 	probeLoop sync.WaitGroup
 	repl      sync.WaitGroup // in-flight replication PUTs
 
-	forwards      atomic.Uint64
-	forwardShared atomic.Uint64
-	proxied       atomic.Uint64 // whole-request proxies (session forwarding)
-	proxyFails    atomic.Uint64
-	failovers     atomic.Uint64
-	received      atomic.Uint64 // inbound forwarded requests served
-	replReceived  atomic.Uint64 // inbound replication PUTs accepted
-	probes        atomic.Uint64
-	probeFails    atomic.Uint64
-	replQueued    atomic.Uint64
-	replAcked     atomic.Uint64
-	replFailed    atomic.Uint64
-	replPending   atomic.Int64
+	forwards     atomic.Uint64
+	proxied      atomic.Uint64 // whole-request proxies (session forwarding)
+	proxyFails   atomic.Uint64
+	failovers    atomic.Uint64
+	received     atomic.Uint64 // inbound forwarded requests served
+	replReceived atomic.Uint64 // inbound replication PUTs accepted
+	probes       atomic.Uint64
+	probeFails   atomic.Uint64
+	replQueued   atomic.Uint64
+	replAcked    atomic.Uint64
+	replFailed   atomic.Uint64
+	replPending  atomic.Int64
 }
 
 // New assembles a shard's cluster view. Self must be non-empty; it is
@@ -317,13 +317,18 @@ func EntryQuery(e experiments.PlanEntry) url.Values {
 // which the caller serves as the (correct, deterministic) result.
 func (c *Cluster) FetchEntry(ctx context.Context, target string, e experiments.PlanEntry) (body []byte, origin string, err error) {
 	key := e.CacheKey()
-	body, origin, err, shared := c.flights.do(key, func() ([]byte, string, error) {
-		return c.fetchOnce(ctx, target, e)
+	f, err, _ := c.flights.Do(key, func() (fetched, error) {
+		body, origin, err := c.fetchOnce(ctx, target, e)
+		return fetched{body, origin}, err
 	})
-	if shared {
-		c.forwardShared.Add(1)
-	}
-	return body, origin, err
+	return f.body, f.origin, err
+}
+
+// fetched is one forwarding hop's result: the entry's bytes and how the
+// target served them.
+type fetched struct {
+	body   []byte
+	origin string
 }
 
 func (c *Cluster) fetchOnce(ctx context.Context, target string, e experiments.PlanEntry) ([]byte, string, error) {
@@ -560,7 +565,7 @@ func (c *Cluster) Stats() Stats {
 		Members:         append([]string(nil), c.ring.Members()...),
 		Replicas:        c.opts.Replicas,
 		Forwards:        c.forwards.Load(),
-		ForwardShared:   c.forwardShared.Load(),
+		ForwardShared:   c.flights.Shared(),
 		Proxied:         c.proxied.Load(),
 		ProxyFails:      c.proxyFails.Load(),
 		Failovers:       c.failovers.Load(),
@@ -594,43 +599,4 @@ func (c *Cluster) Stats() Stats {
 		})
 	}
 	return st
-}
-
-// forwardFlight deduplicates concurrent outbound fetches of one key:
-// the forwarding hop's singleflight (the owner's own singleflight is
-// the second hop). Cleanup runs in a defer, so no error path can wedge
-// a key.
-type forwardFlight struct {
-	mu sync.Mutex
-	m  map[string]*forwardCall
-}
-
-type forwardCall struct {
-	done   chan struct{}
-	body   []byte
-	origin string
-	err    error
-}
-
-func (f *forwardFlight) do(key string, fn func() ([]byte, string, error)) (body []byte, origin string, err error, shared bool) {
-	f.mu.Lock()
-	if f.m == nil {
-		f.m = make(map[string]*forwardCall)
-	}
-	if c, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.body, c.origin, c.err, true
-	}
-	c := &forwardCall{done: make(chan struct{})}
-	f.m[key] = c
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		delete(f.m, key)
-		f.mu.Unlock()
-		close(c.done)
-	}()
-	c.body, c.origin, c.err = fn()
-	return c.body, c.origin, c.err, false
 }

@@ -1,7 +1,7 @@
 // Package clustertest boots a whole tpserved cluster inside one test
 // process: N service.Servers on loopback listeners, each with its own
 // cluster view, optional durable store and optional deterministic fault
-// injection, all sharing the process's snapshot/memoization state the
+// injection, all sharing the process's snapshot registry the
 // way N real daemons share nothing. Because membership is static and
 // addresses are real (127.0.0.1 with kernel-assigned ports), the HTTP
 // forwarding, replication and health-probe paths are exercised exactly

@@ -21,7 +21,7 @@ func restoreBatching(t *testing.T) {
 // call per access) or batched (one LoadBatch/ExecBatch walk per probe).
 // Any divergence in per-access state transitions, cost accounting or
 // fuzzy-clock reconstruction would change these bytes. Snapshots are
-// reset between passes so run memoization cannot mask a divergence.
+// reset between passes so each pass captures its own machines.
 func TestArtefactBatchingEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the whole registry twice")

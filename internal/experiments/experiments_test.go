@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"timeprotection/internal/hw"
+	"timeprotection/internal/snapshot"
 	"timeprotection/internal/workload"
 )
 
@@ -250,6 +251,28 @@ func TestTable8Shape(t *testing.T) {
 	}
 	if r.Pad.Mean < r.NoPad.Mean-0.02 {
 		t.Errorf("padding should not speed things up: %.2f%% vs %.2f%%", r.Pad.Mean*100, r.NoPad.Mean*100)
+	}
+}
+
+// TestTable8RunsBaselineOnce: each benchmark's raw time-shared baseline
+// is shared by the no-pad and padded rows, so one Table8 call runs — and
+// forks — exactly three systems per Splash-2 benchmark: the baseline
+// and one protected run per padding row.
+func TestTable8RunsBaselineOnce(t *testing.T) {
+	restoreSnapshots(t)
+	snapshot.SetEnabled(true)
+	cfg := fastCfg(hw.Haswell())
+	cfg.Table8Slices = 1
+	before := snapshot.Stats()
+	if _, err := Table8(cfg); err != nil {
+		t.Fatal(err)
+	}
+	after := snapshot.Stats()
+	if got, want := after.Forks-before.Forks, uint64(3*len(workload.Splash2())); got != want {
+		t.Errorf("Table8 forked %d systems, want %d (3 per benchmark)", got, want)
+	}
+	if after.Fallbacks != before.Fallbacks {
+		t.Errorf("Table8 cold-booted %d systems instead of forking", after.Fallbacks-before.Fallbacks)
 	}
 }
 

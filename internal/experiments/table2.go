@@ -37,24 +37,11 @@ func Table2(cfg Config) (Table2Result, error) {
 	plat := cfg.Platform
 	res := Table2Result{Platform: plat.Name}
 
-	measure := func(full bool) (direct, indirect float64, err error) {
-		// Each measurement is deterministic in (platform, full); untraced
-		// runs are memoized, and the machine is forked either way.
-		if cfg.Tracer == nil {
-			r, err := snapshot.Memo(fmt.Sprintf("table2|%t|%+v", full, plat), func() ([2]float64, error) {
-				d, i, err := measureFlush(plat, full, nil)
-				return [2]float64{d, i}, err
-			})
-			return r[0], r[1], err
-		}
-		return measureFlush(plat, full, cfg.Tracer)
-	}
-
 	var err error
-	if res.L1Direct, res.L1Indirect, err = measure(false); err != nil {
+	if res.L1Direct, res.L1Indirect, err = measureFlush(plat, false, cfg.Tracer); err != nil {
 		return res, err
 	}
-	if res.FullDirect, res.FullIndirect, err = measure(true); err != nil {
+	if res.FullDirect, res.FullIndirect, err = measureFlush(plat, true, cfg.Tracer); err != nil {
 		return res, err
 	}
 	return res, nil

@@ -122,17 +122,7 @@ func Table6(cfg Config) (Table6Result, error) {
 	for _, sc := range []kernel.Scenario{kernel.ScenarioRaw, kernel.ScenarioFullFlush, kernel.ScenarioProtected} {
 		res.Micros[sc] = map[string]float64{}
 		for _, w := range wls {
-			// Each cell is deterministic in (platform, scenario, workload);
-			// untraced cells are memoized process-wide.
-			var cell float64
-			var err error
-			if cfg.Tracer == nil {
-				cell, err = snapshot.Memo(fmt.Sprintf("table6|%d|%s|%+v", sc, w.name, plat), func() (float64, error) {
-					return table6Cell(plat, sc, w.bytes, w.exec, nil)
-				})
-			} else {
-				cell, err = table6Cell(plat, sc, w.bytes, w.exec, cfg.Tracer)
-			}
+			cell, err := table6Cell(plat, sc, w.bytes, w.exec, cfg.Tracer)
 			if err != nil {
 				return res, fmt.Errorf("table6 (%v, %s): %w", sc, w.name, err)
 			}
@@ -213,39 +203,13 @@ func (r Table7Result) Render() string {
 		[]string{"Operation", "us"}, rows)
 }
 
-// Table7 measures clone, destroy and the fork+exec comparator. The
-// clone/destroy measurement is deterministic in the platform; untraced
-// runs are memoized and the kernel is forked either way.
+// Table7 measures clone and destroy on a forked kernel, and the
+// fork+exec comparator.
 func Table7(cfg Config) (Table7Result, error) {
 	cfg = cfg.withDefaults()
 	plat := cfg.Platform
 	res := Table7Result{Platform: plat.Name}
-	var cd [2]float64
-	var err error
-	if cfg.Tracer == nil {
-		cd, err = snapshot.Memo(fmt.Sprintf("table7|%+v", plat), func() ([2]float64, error) {
-			return table7CloneDestroy(plat, nil)
-		})
-	} else {
-		cd, err = table7CloneDestroy(plat, cfg.Tracer)
-	}
-	if err != nil {
-		return res, err
-	}
-	res.CloneMicros, res.DestroyMicros = cd[0], cd[1]
-	fe, err := workload.ForkExecCost(plat)
-	if err != nil {
-		return res, err
-	}
-	res.ForkExecMicros = plat.CyclesToMicros(fe)
-	return res, nil
-}
-
-// table7CloneDestroy measures kernel clone and destroy on a forked
-// kernel, returning {clone, destroy} in microseconds.
-func table7CloneDestroy(plat hw.Platform, tr *trace.Sink) ([2]float64, error) {
-	var res [2]float64
-	k, err := snapshot.BootKernel(plat, kernel.Config{Scenario: kernel.ScenarioProtected, CloneSupport: true}, tr)
+	k, err := snapshot.BootKernel(plat, kernel.Config{Scenario: kernel.ScenarioProtected, CloneSupport: true}, cfg.Tracer)
 	if err != nil {
 		return res, err
 	}
@@ -259,11 +223,16 @@ func table7CloneDestroy(plat hw.Platform, tr *trace.Sink) ([2]float64, error) {
 	if err != nil {
 		return res, err
 	}
-	res[0] = plat.CyclesToMicros(k.M.Cores[0].Now - t0)
+	res.CloneMicros = plat.CyclesToMicros(k.M.Cores[0].Now - t0)
 	t0 = k.M.Cores[0].Now
 	if err := k.DestroyImage(0, img); err != nil {
 		return res, err
 	}
-	res[1] = plat.CyclesToMicros(k.M.Cores[0].Now - t0)
+	res.DestroyMicros = plat.CyclesToMicros(k.M.Cores[0].Now - t0)
+	fe, err := workload.ForkExecCost(plat)
+	if err != nil {
+		return res, err
+	}
+	res.ForkExecMicros = plat.CyclesToMicros(fe)
 	return res, nil
 }

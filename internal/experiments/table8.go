@@ -33,8 +33,21 @@ func (r Table8Result) Render() string {
 		[]string{"Pad", "Max", "Min", "Mean"}, rows)
 }
 
+// add folds one benchmark's slowdown into the running statistics; Mean
+// holds the sum until Table8 divides it.
+func (st *Table8Stats) add(name string, s float64) {
+	st.Mean += s
+	if s > st.Max {
+		st.Max, st.MaxName = s, name
+	}
+	if s < st.Min {
+		st.Min, st.MinName = s, name
+	}
+}
+
 // Table8 measures the time-shared suite by throughput over a fixed
-// horizon: slowdown = baseBlocks/protBlocks - 1.
+// horizon: slowdown = baseBlocks/protBlocks - 1. Each benchmark's raw
+// time-shared baseline is run once and shared by both padding rows.
 func Table8(cfg Config) (Table8Result, error) {
 	cfg = cfg.withDefaults()
 	res := Table8Result{Platform: cfg.Platform.Name}
@@ -51,49 +64,40 @@ func Table8(cfg Config) (Table8Result, error) {
 		slices = uint64(cfg.Table8Slices)
 	}
 	horizon := cfg.Platform.MicrosToCycles(slice) * slices
-	compute := func(padMicros float64) (Table8Stats, error) {
-		st := Table8Stats{Min: 1e9, Max: -1e9}
-		n := 0
-		for _, spec := range workload.Splash2() {
-			base, err := workload.RunSplashThroughput(spec, workload.SplashConfig{
-				Platform: cfg.Platform, Scenario: kernel.ScenarioRaw,
-				TimeShared: true, TimesliceMicros: slice, Tracer: cfg.Tracer,
-			}, horizon)
-			if err != nil {
-				return st, err
-			}
+	run := func(spec workload.SplashSpec, sc kernel.Scenario, padMicros float64) (int, error) {
+		return workload.RunSplashThroughput(spec, workload.SplashConfig{
+			Platform: cfg.Platform, Scenario: sc,
+			TimeShared: true, PadMicros: padMicros, TimesliceMicros: slice,
+			Tracer: cfg.Tracer,
+		}, horizon)
+	}
+	res.NoPad = Table8Stats{Min: 1e9, Max: -1e9}
+	res.Pad = res.NoPad
+	rows := []struct {
+		st  *Table8Stats
+		pad float64
+	}{{&res.NoPad, 0}, {&res.Pad, pad}}
+	specs := workload.Splash2()
+	for _, spec := range specs {
+		base, err := run(spec, kernel.ScenarioRaw, 0)
+		if err != nil {
+			return res, err
+		}
+		for _, row := range rows {
 			// Two domains split the colours evenly, so the benchmark's
 			// domain holds 50% of the cache — the paper's configuration.
-			prot, err := workload.RunSplashThroughput(spec, workload.SplashConfig{
-				Platform: cfg.Platform, Scenario: kernel.ScenarioProtected,
-				TimeShared: true, PadMicros: padMicros, TimesliceMicros: slice,
-				Tracer: cfg.Tracer,
-			}, horizon)
+			prot, err := run(spec, kernel.ScenarioProtected, row.pad)
 			if err != nil {
-				return st, err
+				return res, err
 			}
 			if prot == 0 {
-				return st, fmt.Errorf("table8: %s made no progress", spec.Name)
+				return res, fmt.Errorf("table8: %s made no progress", spec.Name)
 			}
-			s := float64(base)/float64(prot) - 1
-			st.Mean += s
-			if s > st.Max {
-				st.Max, st.MaxName = s, spec.Name
-			}
-			if s < st.Min {
-				st.Min, st.MinName = s, spec.Name
-			}
-			n++
+			row.st.add(spec.Name, float64(base)/float64(prot)-1)
 		}
-		st.Mean /= float64(n)
-		return st, nil
 	}
-	var err error
-	if res.NoPad, err = compute(0); err != nil {
-		return res, err
-	}
-	if res.Pad, err = compute(pad); err != nil {
-		return res, err
+	for _, row := range rows {
+		row.st.Mean /= float64(len(specs))
 	}
 	return res, nil
 }

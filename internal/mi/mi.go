@@ -68,16 +68,6 @@ func (d *Dataset) Reserve(n int) {
 // N returns the number of samples.
 func (d *Dataset) N() int { return len(d.inputs) }
 
-// Clone returns an independent copy of the dataset's samples. The copy
-// shares nothing — not even the lazy grouping memo — so memoized
-// datasets can be handed to concurrent consumers safely.
-func (d *Dataset) Clone() *Dataset {
-	return &Dataset{
-		inputs:  append([]int(nil), d.inputs...),
-		outputs: append([]float64(nil), d.outputs...),
-	}
-}
-
 // Sample is one (input symbol, output measurement) observation in
 // collection order — the unit incremental consumers (the session API's
 // step results) read back out of a growing dataset.

@@ -37,6 +37,7 @@ import (
 	"timeprotection/internal/experiments"
 	"timeprotection/internal/fault"
 	"timeprotection/internal/session"
+	"timeprotection/internal/singleflight"
 	"timeprotection/internal/store"
 )
 
@@ -50,8 +51,10 @@ type BreakerStats = fault.BreakerStats
 
 // ErrRunnerPanic marks a driver panic that was recovered and converted
 // to an error; handlers translate it into 500 like any other runner
-// failure, and the panicking key stays retryable.
-var ErrRunnerPanic = errors.New("runner panicked")
+// failure, and the panicking key stays retryable. It is the singleflight
+// package's sentinel, so a panic recovered by the flight group matches
+// it too.
+var ErrRunnerPanic = singleflight.ErrPanic
 
 // Options configures a Server. The zero value selects sane defaults.
 type Options struct {
@@ -176,7 +179,7 @@ const (
 type Server struct {
 	opts    Options
 	cache   *Cache
-	flights flightGroup
+	flights singleflight.Group[[]byte]
 	pool    *Pool
 	breaker *fault.Breaker
 	mux     *http.ServeMux
@@ -297,7 +300,7 @@ func (s *Server) runSafely(e experiments.PlanEntry) (out string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			err = fmt.Errorf("%w: %v", ErrRunnerPanic, r)
+			err = fmt.Errorf("runner %w: %v", ErrRunnerPanic, r)
 		}
 	}()
 	return s.opts.Runner(e)

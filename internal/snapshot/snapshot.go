@@ -61,8 +61,7 @@ func init() { enabled.Store(true) }
 // diff snapshot output against ground truth.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether snapshot forking (and run memoization, which
-// shares the switch) is active.
+// Enabled reports whether snapshot forking is active.
 func Enabled() bool { return enabled.Load() }
 
 // Store is the persistence hook: a durable byte store such as
@@ -100,11 +99,13 @@ type Counters struct {
 	Forks     uint64 // systems decoded from a snapshot
 	Fallbacks uint64 // cold boots because forking was impossible
 	DiskHits  uint64 // snapshots loaded from the attached store
-	MemoHits  uint64 // memoized run results served
+	// MemoHits is always 0: no run result is cached in-process. The
+	// field stays for readers that still report it.
+	MemoHits uint64
 }
 
 var counters struct {
-	captures, forks, fallbacks, diskHits, memoHits atomic.Uint64
+	captures, forks, fallbacks, diskHits atomic.Uint64
 }
 
 // Stats returns a snapshot of the layer's counters.
@@ -114,7 +115,6 @@ func Stats() Counters {
 		Forks:     counters.forks.Load(),
 		Fallbacks: counters.fallbacks.Load(),
 		DiskHits:  counters.diskHits.Load(),
-		MemoHits:  counters.memoHits.Load(),
 	}
 }
 
@@ -258,15 +258,14 @@ func entryFor(key string) *entry {
 	return e
 }
 
-// Reset drops every cached snapshot and memoized run result. Tests use
-// it to exercise cold paths; it does not touch the attached store.
+// Reset drops every cached snapshot, so the next NewSystem or
+// BootKernel for each configuration captures again. Tests and the
+// benchmarks use it to exercise cold paths; it does not touch the
+// attached store or the counters.
 func Reset() {
 	regMu.Lock()
 	registry = map[string]*entry{}
 	regMu.Unlock()
-	memoMu.Lock()
-	memoVals = map[string]*memoEntry{}
-	memoMu.Unlock()
 }
 
 // populate fills e under its once: from the attached store when a valid

@@ -2,7 +2,6 @@ package snapshot_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -270,7 +269,7 @@ func TestEventTracerFallsBack(t *testing.T) {
 	}
 }
 
-// TestDisabled: the kill switch must bypass forking and memoization.
+// TestDisabled: the kill switch must bypass forking.
 func TestDisabled(t *testing.T) {
 	reset(t)
 	snapshot.SetEnabled(false)
@@ -280,80 +279,6 @@ func TestDisabled(t *testing.T) {
 	}
 	if got := snapshot.Stats(); got.Forks != before.Forks || got.Captures != before.Captures {
 		t.Fatal("disabled layer still captured or forked")
-	}
-	calls := 0
-	for i := 0; i < 2; i++ {
-		if _, err := snapshot.Memo("k", func() (int, error) { calls++; return calls, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 2 {
-		t.Fatalf("disabled Memo cached (calls=%d)", calls)
-	}
-}
-
-func TestMemo(t *testing.T) {
-	reset(t)
-	calls := 0
-	for i := 0; i < 3; i++ {
-		v, err := snapshot.Memo("answer", func() (int, error) { calls++; return 42, nil })
-		if err != nil || v != 42 {
-			t.Fatalf("Memo = %d, %v", v, err)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls)
-	}
-	// Errors are not cached: the next call retries.
-	boom := errors.New("boom")
-	fails := 0
-	if _, err := snapshot.Memo("fails", func() (int, error) { fails++; return 0, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if v, err := snapshot.Memo("fails", func() (int, error) { fails++; return 7, nil }); err != nil || v != 7 {
-		t.Fatalf("retry = %d, %v", v, err)
-	}
-	if fails != 2 {
-		t.Fatalf("failed compute ran %d times, want 2", fails)
-	}
-}
-
-// TestMemoSingleflight: concurrent callers for one key share a single
-// computation.
-func TestMemoSingleflight(t *testing.T) {
-	reset(t)
-	var mu sync.Mutex
-	calls := 0
-	release := make(chan struct{})
-	const waiters = 8
-	var wg sync.WaitGroup
-	results := make([]int, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := snapshot.Memo("flight", func() (int, error) {
-				mu.Lock()
-				calls++
-				mu.Unlock()
-				<-release
-				return 99, nil
-			})
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-			}
-			results[i] = v
-		}(i)
-	}
-	close(release)
-	wg.Wait()
-	if calls != 1 {
-		t.Fatalf("compute ran %d times under contention, want 1", calls)
-	}
-	for i, v := range results {
-		if v != 99 {
-			t.Fatalf("waiter %d got %d", i, v)
-		}
 	}
 }
 

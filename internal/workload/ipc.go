@@ -40,18 +40,8 @@ func IPCVariants() []IPCVariant {
 
 // MeasureIPC returns the steady-state one-way cost in cycles of
 // cross-address-space call/reply IPC under the given variant (Table 5).
-// tr, when non-nil, observes the run. Untraced measurements are
-// memoized process-wide (deterministic in plat and variant).
+// tr, when non-nil, observes the run.
 func MeasureIPC(plat hw.Platform, variant IPCVariant, tr *trace.Sink) (float64, error) {
-	if tr == nil {
-		return snapshot.Memo(fmt.Sprintf("ipc|%d|%+v", variant, plat), func() (float64, error) {
-			return measureIPC(plat, variant, nil)
-		})
-	}
-	return measureIPC(plat, variant, tr)
-}
-
-func measureIPC(plat hw.Platform, variant IPCVariant, tr *trace.Sink) (float64, error) {
 	cloneSupport := variant != IPCOriginal
 	k, err := snapshot.BootKernel(plat, kernel.Config{
 		Scenario: kernel.ScenarioRaw,

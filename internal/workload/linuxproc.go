@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
@@ -23,12 +21,6 @@ import (
 // All traffic runs through the simulated cache hierarchy, so the result
 // is a measured quantity in the same units as the clone cost.
 func ForkExecCost(plat hw.Platform) (uint64, error) {
-	return snapshot.Memo(fmt.Sprintf("forkexec|%+v", plat), func() (uint64, error) {
-		return forkExecCost(plat)
-	})
-}
-
-func forkExecCost(plat hw.Platform) (uint64, error) {
 	k, err := snapshot.BootKernel(plat, kernel.Config{Scenario: kernel.ScenarioRaw}, nil)
 	if err != nil {
 		return 0, err

@@ -172,19 +172,8 @@ type SplashConfig struct {
 }
 
 // RunSplash executes one benchmark under cfg and returns its elapsed
-// cycles. Untraced runs are deterministic functions of (spec, cfg), so
-// they are memoized process-wide; a run with a tracer attached always
-// executes, since the caller wants its observability side effects.
+// cycles.
 func RunSplash(spec SplashSpec, cfg SplashConfig) (uint64, error) {
-	if cfg.Tracer == nil {
-		return snapshot.Memo(fmt.Sprintf("splash|%+v|%+v", spec, cfg), func() (uint64, error) {
-			return runSplash(spec, cfg)
-		})
-	}
-	return runSplash(spec, cfg)
-}
-
-func runSplash(spec SplashSpec, cfg SplashConfig) (uint64, error) {
 	domains := 1
 	if cfg.TimeShared {
 		domains = 2
@@ -239,15 +228,6 @@ func runSplash(spec SplashSpec, cfg SplashConfig) (uint64, error) {
 // of time-shared runs (Table 8).
 func RunSplashThroughput(spec SplashSpec, cfg SplashConfig, cycles uint64) (int, error) {
 	spec.Blocks = 1 << 30 // never finishes within the horizon
-	if cfg.Tracer == nil {
-		return snapshot.Memo(fmt.Sprintf("splashtp|%d|%+v|%+v", cycles, spec, cfg), func() (int, error) {
-			return runSplashThroughput(spec, cfg, cycles)
-		})
-	}
-	return runSplashThroughput(spec, cfg, cycles)
-}
-
-func runSplashThroughput(spec SplashSpec, cfg SplashConfig, cycles uint64) (int, error) {
 	domains := 1
 	if cfg.TimeShared {
 		domains = 2
