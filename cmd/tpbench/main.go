@@ -141,9 +141,6 @@ func main() {
 			os.Exit(2)
 		}
 		defer st.Close()
-		// Machine snapshots share the artefact store, so a restarted run
-		// skips boot as well as completed artefacts.
-		snapshot.AttachStore(st)
 		if *resume {
 			stats := st.Stats()
 			fmt.Fprintf(os.Stderr, "tpbench: resuming from %s (%d completed artefacts recovered)\n",
@@ -155,8 +152,8 @@ func main() {
 	err := experiments.RunJobs(experiments.PlanJobs(entries, rs, *resume), *parallel, os.Stdout)
 	if *snapStats {
 		s := snapshot.Stats()
-		fmt.Fprintf(os.Stderr, "tpbench: snapshots: %d captures, %d forks, %d disk hits, %d cold-boot fallbacks\n",
-			s.Captures, s.Forks, s.DiskHits, s.Fallbacks)
+		fmt.Fprintf(os.Stderr, "tpbench: snapshots: %d captures, %d forks, %d cold-boot fallbacks\n",
+			s.Captures, s.Forks, s.Fallbacks)
 	}
 	if err != nil {
 		if !errors.Is(err, experiments.ErrCheckFailed) {

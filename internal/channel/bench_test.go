@@ -26,9 +26,9 @@ func (p *benchProber) Step(e *kernel.Env) bool {
 	return true
 }
 
-func benchmarkProbeLoop(b *testing.B, batching bool) {
-	prev := Batching()
-	SetBatching(batching)
+func benchmarkProbeLoop(b *testing.B, batched bool) {
+	prev := batching.Load()
+	SetBatching(batched)
 	defer SetBatching(prev)
 	s := Spec{Platform: hw.Haswell(), Scenario: kernel.ScenarioRaw, Samples: 10, Seed: 42}.withDefaults()
 	sys, err := buildSystem(s)

@@ -28,9 +28,6 @@ func init() { batching.Store(true) }
 // SetBatching toggles batched probe stepping process-wide (tests).
 func SetBatching(on bool) { batching.Store(on) }
 
-// Batching reports whether batched probe stepping is active.
-func Batching() bool { return batching.Load() }
-
 // ProbeBuffer is a user-mapped buffer used for prime&probe: the receiver
 // fills cache sets with its own lines (prime) and later measures how
 // long re-touching them takes (probe); evictions by another domain show

@@ -226,21 +226,6 @@ func (tc *TestCluster) Get(i int, path string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TryGet fetches a path from node i, returning transport errors instead
-// of failing (chaos tests hit killed nodes on purpose).
-func (tc *TestCluster) TryGet(i int, path string) (*http.Response, []byte, error) {
-	resp, err := http.Get(tc.URL(i, path))
-	if err != nil {
-		return nil, nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp, body, nil
-}
-
 // OwnerIndex returns which node the (shared, agreed) ring assigns a key
 // to, resolved through node 0's view.
 func (tc *TestCluster) OwnerIndex(key string) int {

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 
 	"timeprotection/internal/hw"
+	"timeprotection/internal/store"
 	"timeprotection/internal/trace"
 )
 
@@ -73,12 +72,9 @@ func (e PlanEntry) CanonicalKey() string {
 		name, c.Platform.Name, c.Samples, c.SplashBlocks, c.Seed, c.Table8Slices, c.Metrics)
 }
 
-// CacheKey is the content address of the entry: the SHA-256 of its
-// CanonicalKey in hex. It doubles as the store's object file name.
-func (e PlanEntry) CacheKey() string {
-	sum := sha256.Sum256([]byte(e.CanonicalKey()))
-	return hex.EncodeToString(sum[:])
-}
+// CacheKey is the content address of the entry: store.Key of its
+// CanonicalKey. It doubles as the store's object file name.
+func (e PlanEntry) CacheKey() string { return store.Key(e.CanonicalKey()) }
 
 // Output computes the entry's rendered bytes — the exact bytes tpbench
 // writes for this job. A failed check returns ErrCheckFailed alongside

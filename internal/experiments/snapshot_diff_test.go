@@ -7,10 +7,9 @@ import (
 
 	"timeprotection/internal/hw"
 	"timeprotection/internal/snapshot"
-	"timeprotection/internal/store"
 )
 
-// snapshotTestConfig is compact so the three full registry passes stay
+// snapshotTestConfig is compact so the full registry passes stay
 // affordable; equivalence must hold for any config.
 func snapshotTestConfig() Config {
 	return Config{Platform: hw.Haswell(), Samples: 25, SplashBlocks: 250, Seed: 42, Table8Slices: 3}
@@ -20,20 +19,18 @@ func restoreSnapshots(t *testing.T) {
 	t.Helper()
 	t.Cleanup(func() {
 		snapshot.SetEnabled(true)
-		snapshot.AttachStore(nil)
 		snapshot.Reset()
 	})
 }
 
 // TestArtefactSnapshotEquivalence is the differential gate for the
 // snapshot layer: every registry artefact must render byte-identically
-// whether its machines are cold-booted, forked from in-memory
-// snapshots, or forked from snapshots persisted through the durable
-// store. Any bit of simulated state the codec missed would diverge
-// timings and change these bytes.
+// whether its machines are cold-booted or forked from snapshots. Any
+// bit of simulated state the codec missed would diverge timings and
+// change these bytes.
 func TestArtefactSnapshotEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders the whole registry three times")
+		t.Skip("renders the whole registry twice")
 	}
 	if raceEnabled {
 		// Byte-equality is a determinism check, not a race check; the
@@ -66,27 +63,9 @@ func TestArtefactSnapshotEquivalence(t *testing.T) {
 	snapshot.Reset()
 	forked := renderAll("forked")
 
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	snapshot.AttachStore(st)
-	snapshot.Reset()
-	renderAll("populate") // capture snapshots into the store
-	before := snapshot.Stats()
-	snapshot.Reset() // drop the in-memory registry; disk survives
-	disk := renderAll("disk")
-	if got := snapshot.Stats(); got.DiskHits == before.DiskHits {
-		t.Error("disk pass loaded no snapshots from the store")
-	}
-
 	for name, want := range cold {
 		if forked[name] != want {
 			t.Errorf("%s: forked output differs from cold boot", name)
-		}
-		if disk[name] != want {
-			t.Errorf("%s: disk-forked output differs from cold boot", name)
 		}
 	}
 }

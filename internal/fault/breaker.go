@@ -33,7 +33,6 @@ type BreakerStats struct {
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
-	now       func() time.Time // injectable clock for tests
 
 	mu      sync.Mutex
 	entries map[string]*breakerEntry
@@ -53,13 +52,9 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	return &Breaker{
 		threshold: threshold,
 		cooldown:  cooldown,
-		now:       time.Now,
 		entries:   make(map[string]*breakerEntry),
 	}
 }
-
-// SetClock replaces the breaker's time source (tests only).
-func (b *Breaker) SetClock(now func() time.Time) { b.now = now }
 
 // Allow reports whether work for this key may proceed. Past the
 // cooldown an open circuit admits callers again (half-open): their
@@ -71,7 +66,7 @@ func (b *Breaker) Allow(key string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entries[key]
-	if e == nil || e.openUntil.IsZero() || !b.now().Before(e.openUntil) {
+	if e == nil || e.openUntil.IsZero() || !time.Now().Before(e.openUntil) {
 		return nil
 	}
 	b.fastFails.Add(1)
@@ -107,7 +102,7 @@ func (b *Breaker) Failure(key string) {
 	}
 	e.fails++
 	if e.fails >= b.threshold {
-		e.openUntil = b.now().Add(b.cooldown)
+		e.openUntil = time.Now().Add(b.cooldown)
 		b.tripped.Add(1)
 	}
 }
@@ -122,7 +117,7 @@ func (b *Breaker) Open(key string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entries[key]
-	return e != nil && !e.openUntil.IsZero() && b.now().Before(e.openUntil)
+	return e != nil && !e.openUntil.IsZero() && time.Now().Before(e.openUntil)
 }
 
 // OpenFor reports how much cooldown remains on the key's open circuit
@@ -139,7 +134,7 @@ func (b *Breaker) OpenFor(key string) time.Duration {
 	if e == nil || e.openUntil.IsZero() {
 		return 0
 	}
-	if d := e.openUntil.Sub(b.now()); d > 0 {
+	if d := e.openUntil.Sub(time.Now()); d > 0 {
 		return d
 	}
 	return 0
@@ -155,7 +150,7 @@ func (b *Breaker) Stats() BreakerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, e := range b.entries {
-		if !e.openUntil.IsZero() && b.now().Before(e.openUntil) {
+		if !e.openUntil.IsZero() && time.Now().Before(e.openUntil) {
 			st.Open++
 		}
 	}

@@ -50,21 +50,6 @@ func (d *Dataset) Add(input int, output float64) {
 	d.outputs = append(d.outputs, output)
 }
 
-// Reserve pre-sizes the dataset for at least n samples, so receivers
-// that know their sample target up front collect without reallocating.
-func (d *Dataset) Reserve(n int) {
-	if cap(d.inputs) < n {
-		inputs := make([]int, len(d.inputs), n)
-		copy(inputs, d.inputs)
-		d.inputs = inputs
-	}
-	if cap(d.outputs) < n {
-		outputs := make([]float64, len(d.outputs), n)
-		copy(outputs, d.outputs)
-		d.outputs = outputs
-	}
-}
-
 // N returns the number of samples.
 func (d *Dataset) N() int { return len(d.inputs) }
 

@@ -2,9 +2,9 @@ package service
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"sync"
+
+	"timeprotection/internal/store"
 )
 
 // CacheStats is a snapshot of the result cache's counters for /metricz.
@@ -49,11 +49,8 @@ func NewCache(max int) *Cache {
 }
 
 // ContentKey hashes a canonical request description into the cache's
-// address space.
-func ContentKey(canonical string) string {
-	sum := sha256.Sum256([]byte(canonical))
-	return hex.EncodeToString(sum[:])
-}
+// address space, which is the durable store's.
+func ContentKey(canonical string) string { return store.Key(canonical) }
 
 // Get returns the cached body for a key. The returned slice is shared;
 // callers must not mutate it.

@@ -277,12 +277,6 @@ func (s *Server) Close() {
 	s.fills.Wait()
 }
 
-// entryKey is the canonical identity of a plan entry — the string the
-// content-addressed cache hashes. It lives on PlanEntry so tpbench's
-// durable store and this cache share one key space: a store directory
-// filled by either front-end answers the other.
-func entryKey(e experiments.PlanEntry) string { return e.CanonicalKey() }
-
 // artefactName is the circuit-breaker key for a plan entry: faults are
 // tracked per artefact, not per config, since a broken driver breaks
 // every config of its artefact.
@@ -401,7 +395,7 @@ func (s *Server) result(ctx context.Context, e experiments.PlanEntry, block, for
 }
 
 func (s *Server) lookupOrCompute(ctx context.Context, e experiments.PlanEntry, block, forwarded bool) ([]byte, string, string, error) {
-	key := ContentKey(entryKey(e))
+	key := e.CacheKey()
 	if body, ok := s.cache.Get(key); ok {
 		return body, srcHit, "", nil
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -327,6 +328,59 @@ func TestConcurrentRestoreSingleflight(t *testing.T) {
 	}
 	if stats := r2.Stats(); stats.Restored != 1 || stats.Created != 1 {
 		t.Errorf("singleflight restore counters: %+v", stats)
+	}
+}
+
+// panicOnceJournal panics on its first Get, then reads through.
+type panicOnceJournal struct {
+	Journal
+	panicked atomic.Bool
+}
+
+func (j *panicOnceJournal) Get(key string) ([]byte, bool) {
+	if j.panicked.CompareAndSwap(false, true) {
+		panic("journal read failed")
+	}
+	return j.Journal.Get(key)
+}
+
+// TestRestorePanicLeavesIDRetryable: a restore that panics must not
+// wedge its ID. The next Get for it restores the session instead of
+// blocking on the dead restore forever.
+func TestRestorePanicLeavesIDRetryable(t *testing.T) {
+	dir := t.TempDir()
+	st := openJournal(t, dir)
+	r := NewRegistry(Options{Journal: st})
+	s, err := r.Create(Spec{Channel: "l1d", Samples: 24, Seed: ptr(7)})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, err := s.Step(10); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	id := s.ID
+	_, st2 := restart(t, r, st, dir)
+	r2 := NewRegistry(Options{Journal: &panicOnceJournal{Journal: st2}})
+	t.Cleanup(r2.Close)
+
+	func() {
+		defer func() { _ = recover() }()
+		if got, ok := r2.Get(id); ok {
+			t.Errorf("restore through a panicking journal returned %v", got)
+		}
+	}()
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := r2.Get(id)
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("retry after a panicked restore did not restore the session")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Get blocked: a panicked restore wedged the ID")
 	}
 }
 

@@ -146,39 +146,33 @@ func (r *Registry) journalLive(id string) bool {
 // replay the step log in order, and the deterministic simulation lands
 // on byte-identical state. Concurrent restores of the same ID collapse
 // to one (the rest wait and adopt the result); distinct IDs restore in
-// parallel.
+// parallel. A restore that panics fails for its waiters and leaves the
+// ID retryable.
 func (r *Registry) restore(id string) (*Session, bool) {
 	if r.opts.Journal == nil || validID(id) != nil {
 		return nil, false
 	}
-	for {
+	s, err, _ := r.restoring.Do(id, func() (*Session, error) {
 		r.mu.Lock()
-		if s, ok := r.sessions[id]; ok {
-			r.mu.Unlock()
-			return s, true
-		}
-		if r.shut {
-			r.mu.Unlock()
-			return nil, false
-		}
-		if ch, inflight := r.restoring[id]; inflight {
-			r.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		r.restoring[id] = ch
+		s, live := r.sessions[id]
+		shut := r.shut
 		r.mu.Unlock()
-
-		s, ok := r.doRestore(id)
-
-		r.mu.Lock()
-		delete(r.restoring, id)
-		r.mu.Unlock()
-		close(ch)
-		return s, ok
-	}
+		if live {
+			return s, nil
+		}
+		if !shut {
+			if s, ok := r.doRestore(id); ok {
+				return s, nil
+			}
+		}
+		return nil, errNotRestored
+	})
+	return s, err == nil
 }
+
+// errNotRestored tells restore's singleflight waiters that the ID has
+// no restorable session.
+var errNotRestored = errors.New("session: not restorable")
 
 func (r *Registry) doRestore(id string) (*Session, bool) {
 	body, ok := r.opts.Journal.Get(Key(id))

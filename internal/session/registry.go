@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"timeprotection/internal/singleflight"
 )
 
 // Errors the service layer maps onto v1 error codes.
@@ -143,9 +145,9 @@ type Registry struct {
 
 	mu        sync.Mutex
 	sessions  map[string]*Session
-	restoring map[string]chan struct{} // per-ID restore singleflight
-	seq       uint64                   // ID mint counter
-	ord       uint64                   // insertion ordinal (List order)
+	restoring singleflight.Group[*Session] // per-ID restore
+	seq       uint64                       // ID mint counter
+	ord       uint64                       // insertion ordinal (List order)
 	shut      bool
 
 	stop chan struct{}
@@ -168,10 +170,9 @@ type Registry struct {
 // to stop the reaper and end every live session.
 func NewRegistry(opts Options) *Registry {
 	r := &Registry{
-		opts:      opts.withDefaults(),
-		sessions:  map[string]*Session{},
-		restoring: map[string]chan struct{}{},
-		stop:      make(chan struct{}),
+		opts:     opts.withDefaults(),
+		sessions: map[string]*Session{},
+		stop:     make(chan struct{}),
 	}
 	r.wg.Add(1)
 	go r.reapLoop()

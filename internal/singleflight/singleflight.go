@@ -2,9 +2,10 @@
 // one caller computes the result for a key, later callers with the
 // same key block and receive the same result instead of re-running the
 // (expensive, deterministic) computation. It is the one singleflight
-// of the serving stack — tpserved's per-artefact runs and the cluster's
-// forwarding hop both use it. A minimal reimplementation of
-// golang.org/x/sync/singleflight — the module is standard-library only.
+// of the serving stack — tpserved's per-artefact runs, the cluster's
+// forwarding hop and session restores all use it. A minimal
+// reimplementation of golang.org/x/sync/singleflight — the module is
+// standard-library only.
 package singleflight
 
 import (

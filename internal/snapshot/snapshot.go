@@ -4,9 +4,10 @@
 // spaces, allocator free lists, DRAM timing state — is frozen into an
 // immutable byte snapshot keyed by its configuration; every subsequent
 // request for the same configuration decodes a fresh, fully independent
-// copy instead of re-running boot and kernel cloning. Snapshots also
-// serialize through an attached artefact store, so separate processes
-// (tpserved, tpbench -resume) skip boot across restarts.
+// copy instead of re-running boot and kernel cloning. Snapshots are
+// process-local: a boot costs a few milliseconds once per configuration
+// per process, while persisted snapshot bytes would dwarf every result
+// the durable store exists to keep.
 //
 // Correctness model: the codec (EncodeState/DecodeState across the
 // cache, hw, memory, kernel and core layers) captures every bit of
@@ -26,9 +27,6 @@
 package snapshot
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -37,19 +35,6 @@ import (
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/trace"
-)
-
-// schemaVersion is bumped whenever any layer's EncodeState format
-// changes; persisted snapshots with a different version decode as
-// misses and are re-captured.
-const schemaVersion = 1
-
-var magic = [6]byte{'T', 'P', 'S', 'N', 'A', 'P'}
-
-// Snapshot kinds.
-const (
-	kindSystem = 1 // core.System
-	kindKernel = 2 // bare kernel.Kernel
 )
 
 var enabled atomic.Bool
@@ -64,48 +49,21 @@ func SetEnabled(on bool) { enabled.Store(on) }
 // Enabled reports whether snapshot forking is active.
 func Enabled() bool { return enabled.Load() }
 
-// Store is the persistence hook: a durable byte store such as
-// *store.Store. Get misses are recomputed; Put errors are ignored
-// (persistence is an optimisation, never a correctness dependency).
-type Store interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, body []byte) error
-}
-
-var (
-	storeMu  sync.Mutex
-	attached Store
-)
-
-// AttachStore wires a durable store into the snapshot cache (nil
-// detaches). Snapshots are written under content-addressed keys
-// derived from the configuration key and schema version.
-func AttachStore(s Store) {
-	storeMu.Lock()
-	attached = s
-	storeMu.Unlock()
-}
-
-func currentStore() Store {
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	return attached
-}
-
 // Counters exposes what the snapshot layer actually did, for tests and
 // the -stats flag.
 type Counters struct {
 	Captures  uint64 // cold boots performed to populate a snapshot
 	Forks     uint64 // systems decoded from a snapshot
 	Fallbacks uint64 // cold boots because forking was impossible
-	DiskHits  uint64 // snapshots loaded from the attached store
-	// MemoHits is always 0: no run result is cached in-process. The
-	// field stays for readers that still report it.
+	// DiskHits and MemoHits are always 0: snapshots are never
+	// persisted and no run result is cached in-process. The fields stay
+	// for readers that still report them.
+	DiskHits uint64
 	MemoHits uint64
 }
 
 var counters struct {
-	captures, forks, fallbacks, diskHits atomic.Uint64
+	captures, forks, fallbacks atomic.Uint64
 }
 
 // Stats returns a snapshot of the layer's counters.
@@ -114,7 +72,6 @@ func Stats() Counters {
 		Captures:  counters.captures.Load(),
 		Forks:     counters.forks.Load(),
 		Fallbacks: counters.fallbacks.Load(),
-		DiskHits:  counters.diskHits.Load(),
 	}
 }
 
@@ -159,79 +116,6 @@ func (d *bootDeltas) applyTo(s *trace.Sink) {
 	s.PadCycles += d.padCycles
 }
 
-func (d *bootDeltas) encode(w *enc.Writer) {
-	for u := range d.units {
-		s := &d.units[u]
-		for _, v := range [...]uint64{
-			s.Accesses, s.Hits, s.Misses, s.Evictions, s.Writebacks,
-			s.Flushes, s.FlushedLines, s.Issues, s.Cycles, s.WritebackCycles,
-		} {
-			w.U64(v)
-		}
-	}
-	w.U64(d.padCount)
-	w.U64(d.padCycles)
-}
-
-func (d *bootDeltas) decode(r *enc.Reader) error {
-	for u := range d.units {
-		s := &d.units[u]
-		for _, p := range [...]*uint64{
-			&s.Accesses, &s.Hits, &s.Misses, &s.Evictions, &s.Writebacks,
-			&s.Flushes, &s.FlushedLines, &s.Issues, &s.Cycles, &s.WritebackCycles,
-		} {
-			*p = r.U64()
-		}
-	}
-	d.padCount = r.U64()
-	d.padCycles = r.U64()
-	return r.Err()
-}
-
-// blob assembles header + deltas + state into the persisted form.
-func blob(kind byte, d *bootDeltas, state []byte) []byte {
-	var w enc.Writer
-	for _, b := range magic {
-		w.U64(uint64(b))
-	}
-	w.U64(schemaVersion)
-	w.U64(uint64(kind))
-	d.encode(&w)
-	w.Raw(state)
-	return w.Bytes()
-}
-
-// parseBlob validates the header and splits a persisted snapshot.
-func parseBlob(kind byte, b []byte) (*bootDeltas, []byte, error) {
-	r := enc.NewReader(b)
-	for _, want := range magic {
-		if byte(r.U64()) != want {
-			return nil, nil, fmt.Errorf("snapshot: bad magic")
-		}
-	}
-	if v := r.U64(); v != schemaVersion {
-		return nil, nil, fmt.Errorf("snapshot: schema %d, want %d", v, schemaVersion)
-	}
-	if k := byte(r.U64()); k != kind {
-		return nil, nil, fmt.Errorf("snapshot: kind %d, want %d", k, kind)
-	}
-	var d bootDeltas
-	if err := d.decode(r); err != nil {
-		return nil, nil, err
-	}
-	state := r.Raw()
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return &d, state, nil
-}
-
-// storeKey derives a durable-store key from the configuration key.
-func storeKey(key string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("snapshot|v%d|%s", schemaVersion, key)))
-	return "snap-" + hex.EncodeToString(sum[:])[:56]
-}
-
 // entry is one populated (or in-flight) snapshot in the process-wide
 // registry. Population runs under the entry's once, so concurrent
 // requests for the same configuration boot exactly one machine.
@@ -261,38 +145,21 @@ func entryFor(key string) *entry {
 // Reset drops every cached snapshot, so the next NewSystem or
 // BootKernel for each configuration captures again. Tests and the
 // benchmarks use it to exercise cold paths; it does not touch the
-// attached store or the counters.
+// counters.
 func Reset() {
 	regMu.Lock()
 	registry = map[string]*entry{}
 	regMu.Unlock()
 }
 
-// populate fills e under its once: from the attached store when a valid
-// persisted snapshot exists, otherwise by a capture cold boot via
-// capture(), which must return the encoded state and the boot's
-// observability deltas.
-func (e *entry) populate(kind byte, key string, capture func() (*bootDeltas, []byte, error)) {
+// populate fills e under its once by a capture cold boot via capture(),
+// which must return the encoded state and the boot's observability
+// deltas.
+func (e *entry) populate(capture func() (*bootDeltas, []byte, error)) {
 	e.once.Do(func() {
-		sk := storeKey(key)
-		if st := currentStore(); st != nil {
-			if b, ok := st.Get(sk); ok {
-				if d, state, err := parseBlob(kind, b); err == nil {
-					e.deltas, e.state = d, state
-					counters.diskHits.Add(1)
-					return
-				}
-			}
-		}
-		d, state, err := capture()
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.deltas, e.state = d, state
-		counters.captures.Add(1)
-		if st := currentStore(); st != nil {
-			_ = st.Put(sk, blob(kind, d, state))
+		e.deltas, e.state, e.err = capture()
+		if e.err == nil {
+			counters.captures.Add(1)
 		}
 	})
 }
@@ -331,7 +198,7 @@ func forkSystem(opts core.Options) (*core.System, error) {
 		return core.NewSystem(opts)
 	}
 	e := entryFor(SystemKey(opts))
-	e.populate(kindSystem, SystemKey(opts), func() (*bootDeltas, []byte, error) {
+	e.populate(func() (*bootDeltas, []byte, error) {
 		bootOpts := opts
 		bootOpts.Tracer = trace.NewSink(0)
 		sys, err := core.NewSystem(bootOpts)
@@ -378,9 +245,8 @@ func BootKernel(plat hw.Platform, cfg kernel.Config, sink *trace.Sink) (*kernel.
 		counters.fallbacks.Add(1)
 		return coldBoot()
 	}
-	key := KernelKey(plat, cfg)
-	e := entryFor(key)
-	e.populate(kindKernel, key, func() (*bootDeltas, []byte, error) {
+	e := entryFor(KernelKey(plat, cfg))
+	e.populate(func() (*bootDeltas, []byte, error) {
 		probe := trace.NewSink(0)
 		k, err := kernel.Boot(plat, cfg)
 		if err != nil {

@@ -1,9 +1,11 @@
 // Package store implements the durable tier under tpserved's result
-// cache and tpbench's resume path: a content-addressed, crash-safe
-// on-disk result store. Runs are deterministic, so a stored body never
-// expires — the store's only jobs are to never lie (every read is
-// checksum-verified) and to never lose legally-completed work to a
-// crash (every write is atomic and journalled).
+// cache, tpbench's resume path and the session journals: a
+// content-addressed, crash-safe on-disk result store. Machine snapshots
+// are not stored here; they are a process-local fork cache. Runs are
+// deterministic, so a stored body never expires — the store's only
+// jobs are to never lie (every read is checksum-verified) and to never
+// lose legally-completed work to a crash (every write is atomic and
+// journalled).
 //
 // Layout under the store directory:
 //
@@ -165,8 +167,9 @@ type entry struct {
 }
 
 // Key hashes a canonical request description into the store's content
-// address space (sha256 hex) — the same addressing the service cache
-// uses, so the two tiers share keys.
+// address space (sha256 hex). It is the one content address: plan
+// entries and the service cache derive their keys through it, so a
+// store directory filled by tpbench or tpserved answers the other.
 func Key(canonical string) string {
 	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:])
